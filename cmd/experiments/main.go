@@ -99,7 +99,7 @@ func main() {
 
 	var bc *buildcache.Cache
 	if *useCache {
-		bc = buildcache.Default()
+		bc = buildcache.New()
 		bc.AttachMetrics(o)
 	}
 

@@ -99,12 +99,12 @@ type TU struct {
 	// it nil — the wire format does not carry ASTs — and consumers that
 	// genuinely need the tree call Unit(), which re-parses on demand.
 	AST *ast.TranslationUnit
-	// Aux carries caller-supplied derived data (e.g. compilesim's
-	// declaration/instantiation counts) so it is not recomputed on hits.
-	// Aux travels through the remote tier when its type has a registered
-	// AuxCodec, which is what lets an adopted entry skip the re-parse
-	// entirely: the statistics arrive with the tokens.
-	Aux any
+	// Aux carries the builder's derived data (compilesim's encoded unit
+	// statistics) so it is not recomputed on hits. The cache treats it
+	// as opaque bytes and carries it through the remote tier verbatim,
+	// which is what lets an adopted entry skip the re-parse entirely:
+	// the statistics arrive with the tokens.
+	Aux []byte
 
 	// lazyOnce/lazyAST back Unit()'s on-demand re-parse for adopted
 	// entries; AST itself is never written after construction, so plain
@@ -214,7 +214,8 @@ type instruments struct {
 }
 
 // Cache is a process-wide build cache, safe for concurrent use. The zero
-// value is not usable; call New.
+// value is not usable; call New. A nil *Cache is a valid "no cache":
+// Tokens and TranslationUnit compute straight through.
 type Cache struct {
 	mu        sync.Mutex
 	lex       map[string]*lexEntry
@@ -263,11 +264,6 @@ func New() *Cache {
 		MaxTUVariants:   DefaultMaxTUVariants,
 	}
 }
-
-var defaultCache = New()
-
-// Default returns the shared process-wide cache.
-func Default() *Cache { return defaultCache }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
@@ -342,8 +338,12 @@ func ConfigKey(parts ...string) string {
 // Tokens returns the memoized token stream for (path, content), calling
 // lex on the first request. Concurrent requests for the same file wait
 // for the single in-flight lex (singleflight) instead of duplicating it.
-// The returned slice is shared and must not be mutated.
+// The returned slice is shared and must not be mutated. A nil cache
+// lexes straight through.
 func (c *Cache) Tokens(path, content string, lex func() ([]token.Token, error)) ([]token.Token, error) {
+	if c == nil {
+		return lex()
+	}
 	key := FileKey(path, content)
 	c.mu.Lock()
 	if e, ok := c.lex[key]; ok {
@@ -482,8 +482,13 @@ func (c *Cache) evictTokensLocked() {
 //
 // Concurrent misses on the same key are deduplicated: one caller builds,
 // the others wait and re-validate (their filesystems may differ, in
-// which case they build their own variant).
+// which case they build their own variant). A nil cache builds straight
+// through and reports a miss.
 func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (*TU, []Dep, error)) (*TU, bool, error) {
+	if c == nil {
+		val, _, err := build()
+		return val, false, err
+	}
 	start := time.Now()
 	for {
 		c.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cpp/lexer"
+	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -293,7 +294,7 @@ func TestTranslationUnitGlobalLRUEviction(t *testing.T) {
 		built := false
 		_, cached, err := c.TranslationUnit(ConfigKey(name), always, func() (*TU, []Dep, error) {
 			built = true
-			return &TU{Aux: name}, []Dep{{Path: name, Hash: "h"}}, nil
+			return &TU{Aux: []byte(name)}, []Dep{{Path: name, Hash: "h"}}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -305,12 +306,12 @@ func TestTranslationUnitGlobalLRUEviction(t *testing.T) {
 	hit := func(name string) bool {
 		t.Helper()
 		val, cached, err := c.TranslationUnit(ConfigKey(name), always, func() (*TU, []Dep, error) {
-			return &TU{Aux: name}, []Dep{{Path: name, Hash: "h"}}, nil
+			return &TU{Aux: []byte(name)}, []Dep{{Path: name, Hash: "h"}}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cached && val.Aux != name {
+		if cached && string(val.Aux) != name {
 			t.Fatalf("%s: wrong entry served", name)
 		}
 		return cached
@@ -373,5 +374,37 @@ func TestTranslationUnitLRUDisabledByDefault(t *testing.T) {
 	}
 	if n := c.tuLRU.Len(); n != 50 {
 		t.Fatalf("LRU tracks %d entries, want 50", n)
+	}
+}
+
+// TestNilCacheComputesThrough: a nil *Cache is the "no cache" value —
+// Tokens lexes and TranslationUnit builds on every call, reporting
+// misses, so callers need no nil checks of their own.
+func TestNilCacheComputesThrough(t *testing.T) {
+	var c *Cache
+	lexes, builds := 0, 0
+	for i := 0; i < 2; i++ {
+		toks, err := c.Tokens("a.cpp", "int x;", func() ([]token.Token, error) {
+			lexes++
+			return lexer.Tokenize("a.cpp", "int x;")
+		})
+		if err != nil || len(toks) == 0 {
+			t.Fatalf("Tokens = %v, %v", toks, err)
+		}
+		want := &TU{}
+		got, cached, err := c.TranslationUnit("k", nil, func() (*TU, []Dep, error) {
+			builds++
+			return want, nil, nil
+		})
+		if err != nil || cached || got != want {
+			t.Fatalf("TranslationUnit = %p, %v, %v; want the fresh build", got, cached, err)
+		}
+	}
+	if lexes != 2 || builds != 2 {
+		t.Fatalf("lexes = %d, builds = %d; want every call computed", lexes, builds)
+	}
+	var tc preprocessor.TokenCache = c // typed nil in the interface
+	if _, err := tc.Tokens("a.cpp", "int x;", func() ([]token.Token, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -150,7 +150,7 @@ func TestRemoteTUAdoptedAcrossCaches(t *testing.T) {
 	if got.AST != nil {
 		t.Fatal("adoption parsed eagerly; the AST must stay lazy")
 	}
-	if got.Unit() == nil {
+	if got.Unit(nil) == nil {
 		t.Fatal("adopted TU cannot reconstruct its AST")
 	}
 	sa, sb := a.Stats(), b.Stats()

@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cpp/ast"
 	"repro/internal/cpp/parser"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
+	"repro/internal/obs"
 )
 
 // Wire serialization of cache entries for the remote (L2) tier.
@@ -24,9 +24,9 @@ import (
 // eagerly re-parsing on every fetch costs almost as much as the compile
 // the fetch avoided, so decode leaves TU.AST nil and TU.Unit() re-parses
 // lazily, only for the rare consumer that walks the tree. Aux travels
-// instead: callers whose Aux type has a registered AuxCodec (compilesim
-// registers its Stats) get their derived statistics back byte-for-byte,
-// so the hot path of an adopted entry touches tokens only.
+// instead, as the opaque bytes the builder stored (compilesim's encoded
+// unit statistics), so the hot path of an adopted entry touches tokens
+// only.
 //
 // Every payload ends with the SHA-256 of everything before it. Decode
 // recomputes and compares, so a truncated or bit-flipped payload — a
@@ -38,103 +38,12 @@ import (
 // Payload magics: 4 bytes of format identity + version. Bump the
 // version byte on any incompatible change; decoders reject unknown
 // magics, so mixed-version fleets fall back to local builds instead of
-// mis-decoding each other's entries. TU version 2 added the Aux section.
+// mis-decoding each other's entries. TU version 2 added the Aux section;
+// version 3 made it opaque bytes (no codec name).
 var (
 	magicTokens = [4]byte{'Y', 'T', 'K', '1'}
-	magicTU     = [4]byte{'Y', 'T', 'U', '2'}
+	magicTU     = [4]byte{'Y', 'T', 'U', '3'}
 )
-
-// ------------------------------------------------------------ aux codecs
-
-// AuxCodec serializes one concrete TU.Aux type for the remote tier.
-// Encode reports false when the value is not this codec's type (the
-// encoder tries each registered codec in turn); Decode must accept
-// exactly what Encode produced. Codec names are part of the wire
-// contract: a node that receives an unregistered name adopts the entry
-// with a nil Aux and re-derives, so mixed fleets degrade instead of
-// failing.
-type AuxCodec struct {
-	Name   string
-	Encode func(aux any) ([]byte, bool)
-	Decode func(blob []byte) (any, error)
-}
-
-var (
-	auxMu     sync.RWMutex
-	auxCodecs []AuxCodec
-)
-
-// RegisterAux installs an Aux codec (typically from an init function of
-// the package owning the Aux type). Registering a duplicate or
-// incomplete codec is a programming error and panics.
-func RegisterAux(c AuxCodec) {
-	if c.Name == "" || c.Encode == nil || c.Decode == nil {
-		panic("buildcache: RegisterAux requires a name, an encoder, and a decoder")
-	}
-	auxMu.Lock()
-	defer auxMu.Unlock()
-	for _, have := range auxCodecs {
-		if have.Name == c.Name {
-			panic("buildcache: duplicate aux codec " + c.Name)
-		}
-	}
-	auxCodecs = append(auxCodecs, c)
-}
-
-// encodeAux appends the aux section: codec name reference plus blob. An
-// empty name records "no aux" — either none was set or no codec claimed
-// its type.
-func (w *wireWriter) encodeAux(aux any) {
-	auxMu.RLock()
-	defer auxMu.RUnlock()
-	if aux != nil {
-		for _, c := range auxCodecs {
-			if blob, ok := c.Encode(aux); ok {
-				w.strRef(c.Name)
-				w.uvarint(uint64(len(blob)))
-				w.buf = append(w.buf, blob...)
-				return
-			}
-		}
-	}
-	w.strRef("")
-	w.uvarint(0)
-}
-
-// decodeAux reads the aux section. Unknown codec names yield a nil aux
-// (the receiver re-derives); a registered codec that rejects its own
-// blob is an error, because the integrity hash already passed and the
-// payload is simply not what the codec version promises.
-func (r *wireReader) decodeAux() (any, error) {
-	name, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(r.pos)+n > uint64(len(r.buf)) {
-		return nil, fmt.Errorf("buildcache: aux blob truncated")
-	}
-	blob := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	if name == "" {
-		return nil, nil
-	}
-	auxMu.RLock()
-	defer auxMu.RUnlock()
-	for _, c := range auxCodecs {
-		if c.Name == name {
-			aux, err := c.Decode(blob)
-			if err != nil {
-				return nil, fmt.Errorf("buildcache: aux codec %s: %v", name, err)
-			}
-			return aux, nil
-		}
-	}
-	return nil, nil
-}
 
 // hashLen is the integrity trailer length (SHA-256).
 const hashLen = sha256.Size
@@ -245,8 +154,10 @@ func (w *wireWriter) finish() []byte {
 // ---------------------------------------------------------------- reader
 
 type wireReader struct {
-	buf     []byte
-	pos     int
+	buf []byte
+	pos int
+	// recEnd is where the records stop and the string table starts.
+	recEnd  int
 	strings []string
 	// fileIDs/syms memoize interning per string-table entry (0 = not
 	// yet interned; only the empty string interns to 0, and it is
@@ -278,7 +189,7 @@ func openWire(payload []byte, magic [4]byte) (*wireReader, error) {
 	if tableAt > uint64(len(body)-8) {
 		return nil, fmt.Errorf("buildcache: string table offset out of range")
 	}
-	r := &wireReader{buf: body[:len(body)-8], pos: int(tableAt)}
+	r := &wireReader{buf: body[:len(body)-8], pos: int(tableAt), recEnd: int(tableAt)}
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -517,8 +428,8 @@ func (r *wireReader) strSlice() ([]string, error) {
 }
 
 // EncodeTU serializes a whole-TU cache entry — the full preprocessor
-// result, its Aux statistics (when a codec is registered for their
-// type), and its dependency manifest — for the remote tier. The AST is
+// result, its dependency manifest, and its opaque Aux bytes — for the
+// remote tier. The AST is
 // intentionally not encoded (see the package comment above); TU.Unit()
 // re-parses lazily on the receiving node if anything needs the tree.
 func EncodeTU(tu *TU, deps []Dep) ([]byte, error) {
@@ -577,17 +488,18 @@ func EncodeTU(tu *TU, deps []Dep) ([]byte, error) {
 		w.strRef(d.Path)
 		w.strRef(d.Hash)
 	}
-	w.encodeAux(tu.Aux)
+	w.uvarint(uint64(len(tu.Aux)))
+	w.buf = append(w.buf, tu.Aux...)
 	return w.finish(), nil
 }
 
 // DecodeTU validates and deserializes an EncodeTU payload. The decoded
 // TU carries a nil AST — Unit() re-parses from the token stream on first
-// use, which almost no consumer of an adopted entry ever needs — and
-// whatever Aux the registered codecs restored. The returned manifest
-// must be re-validated against the local filesystem before the entry is
-// served — a remote hit is only a hit when every recorded dependency
-// (including the negative probes) still matches.
+// use, which almost no consumer of an adopted entry ever needs — and the
+// Aux bytes exactly as encoded (nil when there were none). The returned
+// manifest must be re-validated against the local filesystem before the
+// entry is served — a remote hit is only a hit when every recorded
+// dependency (including the negative probes) still matches.
 func DecodeTU(payload []byte) (*TU, []Dep, error) {
 	r, err := openWire(payload, magicTU)
 	if err != nil {
@@ -714,9 +626,17 @@ func DecodeTU(payload []byte) (*TU, []Dep, error) {
 		deps = append(deps, d)
 	}
 
-	aux, err := r.decodeAux()
+	nAux, err := r.uvarint()
 	if err != nil {
 		return nil, nil, err
+	}
+	if r.pos > r.recEnd || nAux != uint64(r.recEnd-r.pos) {
+		return nil, nil, fmt.Errorf("buildcache: aux section does not end the records")
+	}
+	var aux []byte
+	if nAux > 0 {
+		aux = append([]byte(nil), r.buf[r.pos:r.pos+int(nAux)]...)
+		r.pos += int(nAux)
 	}
 	return &TU{Result: res, Aux: aux}, deps, nil
 }
@@ -725,9 +645,11 @@ func DecodeTU(payload []byte) (*TU, []Dep, error) {
 // the AST the builder recorded; wire-decoded entries re-parse the token
 // stream on first use (the parser is deterministic, so the result is
 // semantically identical to the tree the building node held) and
-// memoize it. Returns nil only for an empty TU or an unparseable
-// stream, which a hash-validated payload cannot produce.
-func (t *TU) Unit() *ast.TranslationUnit {
+// memoize it, recording the parse under o (nil disables recording) so
+// the re-parse shows in traces and the parser.units counter. Returns
+// nil only for an empty TU or an unparseable stream, which a
+// hash-validated payload cannot produce.
+func (t *TU) Unit(o *obs.Obs) *ast.TranslationUnit {
 	if t.AST != nil {
 		return t.AST
 	}
@@ -735,7 +657,9 @@ func (t *TU) Unit() *ast.TranslationUnit {
 		if t.Result == nil {
 			return
 		}
-		if tu, err := parser.New(t.Result.Tokens).Parse(); err == nil {
+		pr := parser.New(t.Result.Tokens)
+		pr.Obs = o
+		if tu, err := pr.Parse(); err == nil {
 			t.lazyAST = tu
 		}
 	})

@@ -3,7 +3,6 @@ package buildcache
 import (
 	"bytes"
 	"crypto/sha256"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,48 +87,27 @@ func TestTURoundTrip(t *testing.T) {
 		t.Fatal("decode parsed eagerly; the AST must be lazy")
 	}
 	if got.Aux != nil {
-		t.Fatal("no codec matched, so Aux must decode to nil")
+		t.Fatal("no aux bytes were set, so Aux must decode to nil")
 	}
-	unit := got.Unit()
+	unit := got.Unit(nil)
 	if unit == nil {
 		t.Fatal("Unit() did not re-parse the decoded stream")
 	}
-	if again := got.Unit(); again != unit {
+	if again := got.Unit(nil); again != unit {
 		t.Fatal("Unit() re-parsed instead of memoizing")
 	}
-	want := tu.Unit()
+	want := tu.Unit(nil)
 	if len(unit.Decls) != len(want.Decls) {
 		t.Fatalf("lazy re-parse found %d decls, builder had %d", len(unit.Decls), len(want.Decls))
 	}
 }
 
-// testAux exercises the codec registry without depending on any real
-// Aux type; the blob is the value byte repeated three times so the
-// decoder can detect tampering.
-type testAux struct{ V byte }
-
-func init() {
-	RegisterAux(AuxCodec{
-		Name: "buildcache.testaux/1",
-		Encode: func(aux any) ([]byte, bool) {
-			ta, ok := aux.(testAux)
-			if !ok {
-				return nil, false
-			}
-			return []byte{ta.V, ta.V, ta.V}, true
-		},
-		Decode: func(blob []byte) (any, error) {
-			if len(blob) != 3 || blob[0] != blob[1] || blob[1] != blob[2] {
-				return nil, fmt.Errorf("malformed testaux blob %v", blob)
-			}
-			return testAux{V: blob[0]}, nil
-		},
-	})
-}
-
+// TestTUAuxRoundTrip checks the aux section is carried as opaque bytes:
+// whatever the builder stored arrives byte for byte, and an empty aux
+// arrives as nil.
 func TestTUAuxRoundTrip(t *testing.T) {
 	tu, deps := realTU(t)
-	tu.Aux = testAux{V: 7}
+	tu.Aux = []byte{1, 0, 0xff, 7}
 	payload, err := EncodeTU(tu, deps)
 	if err != nil {
 		t.Fatal(err)
@@ -138,71 +116,83 @@ func TestTUAuxRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Aux != (testAux{V: 7}) {
-		t.Fatalf("Aux did not round trip: %#v", got.Aux)
+	if !bytes.Equal(got.Aux, tu.Aux) {
+		t.Fatalf("Aux did not round trip: %v, want %v", got.Aux, tu.Aux)
 	}
 
-	// An Aux type no codec claims is dropped at encode time, not an
-	// error: the receiver re-derives.
-	tu.Aux = struct{ X int }{1}
-	payload, err = EncodeTU(tu, deps)
-	if err != nil {
+	tu.Aux = []byte{}
+	if payload, err = EncodeTU(tu, deps); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, err = DecodeTU(payload); err != nil || got.Aux != nil {
-		t.Fatalf("unclaimed Aux: got %#v, err %v; want nil, nil", got.Aux, err)
+		t.Fatalf("empty Aux: got %#v, err %v; want nil, nil", got.Aux, err)
 	}
 }
 
-// TestTUAuxUnknownCodecDegrades simulates a receiving node without the
-// sender's codec: the entry must still adopt, with a nil Aux.
-func TestTUAuxUnknownCodecDegrades(t *testing.T) {
+// withMagic re-frames a payload under another format magic and re-seals
+// its integrity trailer, as a node of another wire version would send.
+func withMagic(payload []byte, magic string) []byte {
+	body := append([]byte(nil), payload[:len(payload)-hashLen]...)
+	copy(body, magic)
+	sum := sha256.Sum256(body)
+	return append(body, sum[:]...)
+}
+
+// TestTUMixedVersionDegrades: a node of the previous wire version (the
+// codec-named aux section, magic YTU2) publishes an entry. This node
+// must reject the payload by magic and build locally — mixed fleets
+// degrade to local builds instead of mis-decoding each other's entries.
+func TestTUMixedVersionDegrades(t *testing.T) {
 	tu, deps := realTU(t)
-	tu.Aux = testAux{V: 3}
 	payload, err := EncodeTU(tu, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auxMu.Lock()
-	saved := auxCodecs
-	auxCodecs = nil
-	auxMu.Unlock()
-	defer func() {
-		auxMu.Lock()
-		auxCodecs = saved
-		auxMu.Unlock()
-	}()
-	got, _, err := DecodeTU(payload)
-	if err != nil {
-		t.Fatalf("unknown codec must degrade to nil Aux, got error: %v", err)
+	old := withMagic(payload, "YTU2")
+	if _, _, err := DecodeTU(old); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("old-version payload decoded; err = %v", err)
 	}
-	if got.Aux != nil {
-		t.Fatalf("Aux = %#v, want nil without the codec", got.Aux)
+
+	be := newFakeBackend()
+	key := ConfigKey("k")
+	be.data[NSTU+"/"+key] = old
+	c := New()
+	c.Remote = be
+	builds := 0
+	val, cached, err := c.TranslationUnit(key, func(Dep) bool { return true }, func() (*TU, []Dep, error) {
+		builds++
+		return tu, deps, nil
+	})
+	if err != nil || val != tu || cached || builds != 1 {
+		t.Fatalf("val=%p cached=%v builds=%d err=%v; want one local build", val, cached, builds, err)
+	}
+	if st := c.Stats(); st.RemoteErrors == 0 || st.TUMisses != 1 {
+		t.Fatalf("stats = %+v, want the old payload counted as a remote error and one miss", st)
 	}
 }
 
-// TestTUAuxCorruptBlobRejected swaps in a codec whose blob the decoder
-// rejects: a registered codec failing on its own name is corruption,
-// and the whole payload must be refused.
+// TestTUAuxCorruptBlobRejected re-seals a payload whose aux length runs
+// past the end of the records: the integrity hash passes, so the aux
+// framing itself must refuse the payload.
 func TestTUAuxCorruptBlobRejected(t *testing.T) {
 	tu, deps := realTU(t)
-	tu.Aux = testAux{V: 0xEB} // three 0xEB bytes: a needle ASCII payloads can't contain
+	tu.Aux = []byte{0xEB, 0xEB, 0xEB} // a needle ASCII payloads can't contain
 	payload, err := EncodeTU(tu, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one aux byte and re-seal the integrity trailer so only the
-	// codec can notice.
+	// The aux section is a one-byte length (3) then the bytes; claim a
+	// longer blob than the records hold.
 	broken := append([]byte(nil), payload[:len(payload)-hashLen]...)
-	at := bytes.Index(broken, []byte{0xEB, 0xEB, 0xEB})
+	at := bytes.Index(broken, []byte{3, 0xEB, 0xEB, 0xEB})
 	if at < 0 {
-		t.Fatal("aux blob not found in payload")
+		t.Fatal("aux section not found in payload")
 	}
-	broken[at+1] ^= 0xff
+	broken[at] = 0x7f
 	sum := sha256.Sum256(broken)
 	broken = append(broken, sum[:]...)
-	if _, _, err := DecodeTU(broken); err == nil || !strings.Contains(err.Error(), "aux codec") {
-		t.Fatalf("corrupt aux blob decoded; err = %v", err)
+	if _, _, err := DecodeTU(broken); err == nil || !strings.Contains(err.Error(), "aux") {
+		t.Fatalf("corrupt aux section decoded; err = %v", err)
 	}
 }
 

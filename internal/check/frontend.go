@@ -127,8 +127,8 @@ func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (
 	}
 	owned := map[string]bool{}
 	for _, target := range append([]string{opts.Header}, opts.ExtraHeaders...) {
-		if hf := findHeaderFile(res, target); hf != "" {
-			markOwned(owned, res.DirectDeps, hf)
+		if hf := FindHeaderFile(res, target); hf != "" {
+			MarkOwned(owned, res.DirectDeps, hf)
 		}
 	}
 	p := parser.New(res.Tokens)
@@ -152,9 +152,11 @@ func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (
 	}, nil
 }
 
-// findHeaderFile locates the resolved path of an include target among a
-// TU's includes (same matching rule as the substitution engine).
-func findHeaderFile(res *preprocessor.Result, target string) string {
+// FindHeaderFile locates the resolved path of an include target among a
+// TU's includes. It is the one matching rule shared by the safety gate
+// and the substitution engine, so the two always agree on which file is
+// the substituted header.
+func FindHeaderFile(res *preprocessor.Result, target string) string {
 	suffix := "/" + path.Base(target)
 	for _, inc := range res.Includes {
 		if inc == vfs.Clean(target) || strings.HasSuffix("/"+inc, suffix) {
@@ -164,13 +166,15 @@ func findHeaderFile(res *preprocessor.Result, target string) string {
 	return ""
 }
 
-// markOwned adds hf and everything reachable from it to owned.
-func markOwned(owned map[string]bool, deps map[string][]string, hf string) {
+// MarkOwned adds hf and everything reachable from it through deps (a
+// preprocessor result's DirectDeps) to owned: the files a substituted
+// header owns.
+func MarkOwned(owned map[string]bool, deps map[string][]string, hf string) {
 	if owned[hf] {
 		return
 	}
 	owned[hf] = true
 	for _, d := range deps[hf] {
-		markOwned(owned, deps, d)
+		MarkOwned(owned, deps, d)
 	}
 }

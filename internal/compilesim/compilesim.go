@@ -186,19 +186,12 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 		return nil, err
 	}
 	res := unit.Result
-	if st, ok := unit.Aux.(Stats); ok {
-		obj.Stats = st
-	} else {
-		// The entry was built by a non-compilesim frontend run (e.g. a
-		// PCH build sharing the same configuration key) or arrived from a
-		// node without the Stats codec: derive the unit statistics from
-		// the cached stream and AST (Unit re-parses if the entry was
-		// adopted from the remote tier). Deterministic either way.
-		obj.Stats.LOC = res.LOC
-		obj.Stats.Headers = len(res.Includes)
-		obj.Stats.MissingIncl = len(res.MissingIncludes)
-		obj.Stats.Tokens = len(res.Tokens)
-		countUnit(unit.Unit(), vfs.Clean(main), &obj.Stats)
+	if obj.Stats, err = decodeStats(unit.Aux); err != nil {
+		// The statistics are missing or unreadable (an entry from a node
+		// with another stats version): derive them from the cached stream
+		// and AST (Unit re-parses if the entry was adopted from the remote
+		// tier). Deterministic either way.
+		obj.Stats = unitStats(unit.Result, unit.Unit(sp.Obs()), main)
 	}
 	obj.TU = unit.AST
 	obj.Includes = append([]string{vfs.Clean(main)}, res.Includes...)
@@ -261,20 +254,26 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 	return obj, nil
 }
 
-// frontend preprocesses and parses main and derives the translation
+// Frontend preprocesses and parses main and derives the translation
 // unit's statistics — everything about a compile that depends only on
 // source text, include configuration, and defines (not on the cost
 // model, -O level, or PCH). With a Cache set, the result is served from
 // the content-addressed TU cache when the recorded dependency manifest
 // (every file read, by hash, and every include probe that missed)
-// still validates against the compiler's filesystem.
+// still validates against the compiler's filesystem. It is the one
+// frontend of the repository: a PCH is this unit serialized (pch.New).
+// The returned unit is shared and must not be mutated.
+func (c *Compiler) Frontend(main string) (*buildcache.TU, error) {
+	return c.frontend(main, c.Obs)
+}
+
+// frontend is Frontend recording under o (Compile nests it in its own
+// span).
 func (c *Compiler) frontend(main string, o *obs.Obs) (*buildcache.TU, error) {
 	build := func() (*buildcache.TU, []buildcache.Dep, error) {
 		ppr := preprocessor.New(c.FS, c.SearchPaths...)
 		ppr.Obs = o
-		if c.Cache != nil {
-			ppr.Cache = c.Cache
-		}
+		ppr.Cache = c.Cache
 		for k, v := range c.Defines {
 			ppr.Define(k, v)
 		}
@@ -288,17 +287,8 @@ func (c *Compiler) frontend(main string, o *obs.Obs) (*buildcache.TU, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("compilesim: %s: parse: %v", main, err)
 		}
-		var st Stats
-		st.LOC = res.LOC
-		st.Headers = len(res.Includes)
-		st.MissingIncl = len(res.MissingIncludes)
-		st.Tokens = len(res.Tokens)
-		countUnit(tu, vfs.Clean(main), &st)
-		return &buildcache.TU{Result: res, AST: tu, Aux: st}, buildcache.Manifest(c.FS, main, res), nil
-	}
-	if c.Cache == nil {
-		t, _, err := build()
-		return t, err
+		aux := encodeStats(unitStats(res, tu, main))
+		return &buildcache.TU{Result: res, AST: tu, Aux: aux}, buildcache.Manifest(c.FS, main, res), nil
 	}
 	t, hit, err := c.Cache.TranslationUnit(c.configKey(main), buildcache.Validator(c.FS), build)
 	if hit {
@@ -370,6 +360,19 @@ func (c *Compiler) LinkLTO(objects ...*Object) time.Duration {
 		units += o.Stats.FuncDefs + o.Stats.TemplateUses
 	}
 	return dur(LTONsPerUnit * float64(units))
+}
+
+// unitStats derives the frontend statistics of main's translation unit
+// from its preprocessor result and parsed AST.
+func unitStats(res *preprocessor.Result, tu *ast.TranslationUnit, main string) Stats {
+	st := Stats{
+		LOC:         res.LOC,
+		Headers:     len(res.Includes),
+		MissingIncl: len(res.MissingIncludes),
+		Tokens:      len(res.Tokens),
+	}
+	countUnit(tu, vfs.Clean(main), &st)
+	return st
 }
 
 // countUnit fills declaration/template statistics from the parsed unit.

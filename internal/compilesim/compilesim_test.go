@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/buildcache"
+	"repro/internal/obs"
 	"repro/internal/pch"
 	"repro/internal/vfs"
 )
@@ -63,12 +64,12 @@ func TestPCHReducesFrontendNotBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pch.Build(fs, "lib/big.hpp", []string{"lib"}, nil)
+	unit, err := New(fs, "lib").Frontend("lib/big.hpp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := New(fs, "lib")
-	cc.PCH = p
+	cc.PCH = pch.New("lib/big.hpp", unit, nil)
 	withPCH, err := cc.Compile("main.cpp")
 	if err != nil {
 		t.Fatal(err)
@@ -247,5 +248,64 @@ func TestCacheHitAcrossClones(t *testing.T) {
 	}
 	if st := bc.Stats(); st.TUHits != 1 {
 		t.Fatalf("cache stats = %+v, want a cross-clone hit", st)
+	}
+}
+
+func TestStatsRoundTrip(t *testing.T) {
+	obj, err := New(smallTree(), "lib").Compile("main.cpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := obj.Stats
+	want.UserTokens, want.PCHBlobBytes = 0, 0 // per-compile, not cached
+	got, err := decodeStats(encodeStats(obj.Stats))
+	if err != nil || got != want {
+		t.Fatalf("decode(encode(%+v)) = %+v, %v", want, got, err)
+	}
+}
+
+// TestStatsFallbackOnUnreadableAux seeds the cache with the unit's
+// entry but stats that are missing, of another version, truncated or
+// followed by trailing bytes, and no AST (as an entry adopted from the remote tier arrives): Compile
+// must re-derive exactly the statistics and phases a cold compile
+// produces, and record the re-parse that took.
+func TestStatsFallbackOnUnreadableAux(t *testing.T) {
+	fs := smallTree()
+	cold, err := New(fs, "lib").Compile("main.cpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, err := New(fs, "lib").Frontend("main.cpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := encodeStats(cold.Stats)
+	for name, aux := range map[string][]byte{
+		"missing":   nil,
+		"version":   append([]byte{statsVersion + 1}, good[1:]...),
+		"truncated": good[:len(good)-1],
+		"trailing":  append(append([]byte(nil), good...), 0),
+	} {
+		bc := buildcache.New()
+		cc := New(fs, "lib")
+		cc.Cache = bc
+		seed := func() (*buildcache.TU, []buildcache.Dep, error) {
+			return &buildcache.TU{Result: unit.Result, Aux: aux}, buildcache.Manifest(fs, "main.cpp", unit.Result), nil
+		}
+		if _, _, err := bc.TranslationUnit(cc.configKey("main.cpp"), buildcache.Validator(fs), seed); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		cc.Obs = obs.New(nil, reg)
+		got, err := cc.Compile("main.cpp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != cold.Stats || got.Phases != cold.Phases {
+			t.Errorf("%s aux: stats %+v phases %+v, want %+v %+v", name, got.Stats, got.Phases, cold.Stats, cold.Phases)
+		}
+		if n := reg.Snapshot().Counters["parser.units"]; n != 1 {
+			t.Errorf("%s aux: parser.units = %d, want the one fallback re-parse", name, n)
+		}
 	}
 }

@@ -14,10 +14,10 @@ package core
 
 import (
 	"fmt"
-	"path"
 	"sort"
 	"strings"
 
+	"repro/internal/check"
 	"repro/internal/cpp/parser"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
@@ -291,14 +291,14 @@ func (e *Engine) frontend(o *obs.Obs) error {
 		// Resolve every substituted header among this TU's includes and
 		// mark their transitive closures as header-owned.
 		for _, target := range e.headerTargets() {
-			if hf := e.findHeaderFile(res, target); hf != "" {
+			if hf := check.FindHeaderFile(res, target); hf != "" {
 				if e.headerFile == "" {
 					e.headerFile = hf
 				}
 				if !e.headerOwned[hf] {
 					e.headerFiles = append(e.headerFiles, hf)
 				}
-				e.markOwned(res.DirectDeps, hf)
+				check.MarkOwned(e.headerOwned, res.DirectDeps, hf)
 			}
 		}
 		p := parser.New(res.Tokens)
@@ -329,29 +329,6 @@ func sortedKeys(m map[string]bool) []string {
 // headerTargets lists every include target being substituted.
 func (e *Engine) headerTargets() []string {
 	return append([]string{e.opts.Header}, e.opts.ExtraHeaders...)
-}
-
-// findHeaderFile locates the resolved path of an include target among the
-// TU's includes.
-func (e *Engine) findHeaderFile(res *preprocessor.Result, target string) string {
-	suffix := "/" + path.Base(target)
-	for _, inc := range res.Includes {
-		if inc == vfs.Clean(target) || strings.HasSuffix("/"+inc, suffix) {
-			return inc
-		}
-	}
-	return ""
-}
-
-// markOwned adds hf and everything reachable from it to headerOwned.
-func (e *Engine) markOwned(deps map[string][]string, hf string) {
-	if e.headerOwned[hf] {
-		return
-	}
-	e.headerOwned[hf] = true
-	for _, d := range deps[hf] {
-		e.markOwned(deps, d)
-	}
 }
 
 // inHeader reports whether a file is owned by the substituted header.

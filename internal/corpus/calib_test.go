@@ -6,7 +6,6 @@ import (
 	"repro/internal/compilesim"
 	"repro/internal/core"
 	"repro/internal/pch"
-	"repro/internal/vfs"
 )
 
 // TestCalibrationBands asserts the cost-model outputs stay within the
@@ -35,17 +34,21 @@ func TestCalibrationBands(t *testing.T) {
 		}
 		fs := s.FS.Clone()
 
-		def, err := compilesim.New(fs, s.SearchPaths...).Compile(s.MainFile)
+		cc := compilesim.New(fs, s.SearchPaths...)
+		def, err := cc.Compile(s.MainFile)
 		if err != nil {
 			t.Fatalf("%s default: %v", c.name, err)
 		}
-		hdr := resolveHeaderPath(t, fs, s)
-		p, err := pch.Build(fs, hdr, s.SearchPaths, nil)
+		hdr, err := fs.Resolve(s.Header, s.SearchPaths)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		unit, err := cc.Frontend(hdr)
 		if err != nil {
 			t.Fatalf("%s pch: %v", c.name, err)
 		}
 		cp := compilesim.New(fs, s.SearchPaths...)
-		cp.PCH = p
+		cp.PCH = pch.New(hdr, unit, nil)
 		pchObj, err := cp.Compile(s.MainFile)
 		if err != nil {
 			t.Fatalf("%s pch compile: %v", c.name, err)
@@ -85,19 +88,4 @@ func TestCalibrationBands(t *testing.T) {
 			t.Errorf("%s: PCH instantiate differs", c.name)
 		}
 	}
-}
-
-func resolveHeaderPath(t *testing.T, fs *vfs.FS, s *Subject) string {
-	t.Helper()
-	for _, sp := range s.SearchPaths {
-		cand := sp + "/" + s.Header
-		if sp == "." {
-			cand = s.Header
-		}
-		if fs.Exists(cand) {
-			return cand
-		}
-	}
-	t.Fatalf("cannot resolve %s", s.Header)
-	return ""
 }

@@ -137,12 +137,6 @@ func Prepare(s *corpus.Subject, mode Mode) (*Setup, error) {
 	return PrepareWith(s, mode, Config{})
 }
 
-// PrepareWithOptions is Prepare with the §6 pre-declared symbol list
-// passed through to the tool.
-func PrepareWithOptions(s *corpus.Subject, mode Mode, preDeclare []string) (*Setup, error) {
-	return PrepareWith(s, mode, Config{PreDeclare: preDeclare})
-}
-
 // Config bundles the optional knobs of a Prepare run.
 type Config struct {
 	// PreDeclare is the §6 pre-declared symbol list passed to the tool.
@@ -194,19 +188,21 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 		st.mainFile = s.MainFile
 
 	case PCH:
-		headerPath, err := resolveHeader(fs, s)
+		headerPath, err := fs.Resolve(s.Header, s.SearchPaths)
 		if err != nil {
 			return nil, err
 		}
-		p, err := pch.BuildObserved(fs, headerPath, s.SearchPaths, nil, cfg.Cache, o)
+		// The PCH is the header's frontend unit serialized; the probe
+		// compile below is then served from the same cache entry.
+		probe := newCompiler(s.SearchPaths...)
+		unit, err := probe.Frontend(headerPath)
 		if err != nil {
 			return nil, err
 		}
 		st.compiler = newCompiler(s.SearchPaths...)
-		st.compiler.PCH = p
+		st.compiler.PCH = pch.New(headerPath, unit, o)
 		st.mainFile = s.MainFile
 		// PCH build ≈ frontend over the header plus serialization.
-		probe := newCompiler(s.SearchPaths...)
 		hdrObj, err := probe.Compile(headerPath)
 		if err != nil {
 			return nil, err
@@ -218,10 +214,8 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 			FS: fs, SearchPaths: s.SearchPaths, Sources: s.Sources,
 			Header: s.Header, OutDir: s.OutDir(),
 			PreDeclare: cfg.PreDeclare,
+			TokenCache: cfg.Cache,
 			Obs:        o,
-		}
-		if cfg.Cache != nil {
-			opts.TokenCache = cfg.Cache
 		}
 		res, err := core.Substitute(opts)
 		if err != nil {
@@ -252,10 +246,12 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 			// §6 combination: pre-compile the residual headers the
 			// substituted sources still include (std and non-substituted
 			// modules).
-			p, err := pch.BuildObserved(fs, st.mainFile, paths, nil, cfg.Cache, o)
+			residual := newCompiler(paths...)
+			unit, err := residual.Frontend(st.mainFile)
 			if err != nil {
 				return nil, fmt.Errorf("devcycle: residual pch: %v", err)
 			}
+			p := pch.New(st.mainFile, unit, o)
 			// The PCH must not cover the user's editable files.
 			delete(p.Files, st.mainFile)
 			for _, out := range res.ModifiedSources {
@@ -263,7 +259,7 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 			}
 			delete(p.Files, res.LightweightPath)
 			st.compiler.PCH = p
-			probeHdr, err := newCompiler(paths...).Compile(st.mainFile)
+			probeHdr, err := residual.Compile(st.mainFile)
 			if err != nil {
 				return nil, err
 			}
@@ -367,20 +363,6 @@ func (st *Setup) RecompileWrappers() (time.Duration, error) {
 	st.obs.Counter("devcycle.wrapper_recompiles").Add(1)
 	st.obs.ObserveMs("wrappers.recompile_ms", wobj.Phases.Total())
 	return wobj.Phases.Total(), nil
-}
-
-// resolveHeader finds the substituted header's path on the search paths.
-func resolveHeader(fs *vfs.FS, s *corpus.Subject) (string, error) {
-	for _, sp := range s.SearchPaths {
-		cand := sp + "/" + s.Header
-		if sp == "." {
-			cand = s.Header
-		}
-		if fs.Exists(cand) {
-			return vfs.Clean(cand), nil
-		}
-	}
-	return "", fmt.Errorf("devcycle: cannot resolve header %q", s.Header)
 }
 
 // SetObs re-points the setup's observability handle (e.g. so cycles run

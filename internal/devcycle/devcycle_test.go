@@ -1,9 +1,13 @@
 package devcycle
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/buildcache"
 	"repro/internal/corpus"
+	"repro/internal/obs"
 )
 
 func prepare(t *testing.T, name string, mode Mode) *Setup {
@@ -248,7 +252,7 @@ func TestRerunOnNewSymbolUnlessPreDeclared(t *testing.T) {
 	}
 
 	// With §6 pre-declaration the growth cycle never pays the rerun.
-	pre, err := PrepareWithOptions(s, Yalla, []string{"Kokkos::fence"})
+	pre, err := PrepareWith(s, Yalla, Config{PreDeclare: []string{"Kokkos::fence"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +271,76 @@ func TestRerunOnNewSymbolUnlessPreDeclared(t *testing.T) {
 	_, rerunDef, _ := def.CycleWithNewSymbol("Kokkos::fence")
 	if rerunDef {
 		t.Fatal("default mode has no tool to rerun")
+	}
+}
+
+// memBackend is an in-memory remote cache tier: every lease is granted
+// (the test drives one node at a time) and payloads live in a map.
+type memBackend struct {
+	mu   sync.Mutex
+	data map[string][]byte
+}
+
+func (b *memBackend) Get(ns, key string) ([]byte, bool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	p, ok := b.data[ns+"/"+key]
+	return p, ok, nil
+}
+
+func (b *memBackend) Put(ns, key string, payload []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.data[ns+"/"+key] = payload
+	return nil
+}
+
+func (b *memBackend) Lease(string, string) (buildcache.LeaseState, error) {
+	return buildcache.LeaseGranted, nil
+}
+
+func (b *memBackend) Unlease(string, string) error { return nil }
+
+// TestPCHPrepareAdoptsFromL2WithoutParsing: two caches share one remote
+// tier. Once cache A has prepared a subject in PCH mode, a PCH-mode
+// Prepare on cache B is served entirely from A's published units —
+// header and main file alike carry their statistics, so B parses
+// nothing — and produces exactly A's setup and compile.
+func TestPCHPrepareAdoptsFromL2WithoutParsing(t *testing.T) {
+	s := corpus.ByName("condense")
+	be := &memBackend{data: map[string][]byte{}}
+	a, b := buildcache.New(), buildcache.New()
+	a.Remote, b.Remote = be, be
+
+	stA, err := PrepareWith(s, PCH, Config{Cache: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, payload := range be.data {
+		if !strings.HasPrefix(k, buildcache.NSTU+"/") {
+			continue
+		}
+		tu, _, err := buildcache.DecodeTU(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tu.Aux == nil {
+			t.Errorf("unit %s was published without its statistics", k)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	stB, err := PrepareWith(s, PCH, Config{Cache: b, Obs: obs.New(nil, reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counters["parser.units"]; n != 0 {
+		t.Errorf("cache B parsed %d units; want every unit adopted from the remote tier", n)
+	}
+	if st := b.Stats(); st.TUMisses != 0 || st.RemoteTUHits == 0 {
+		t.Errorf("cache B stats = %+v, want only remote TU hits", st)
+	}
+	if stA.Setup != stB.Setup || stA.Phases() != stB.Phases() || stA.Stats() != stB.Stats() {
+		t.Errorf("adopted prepare differs: A %+v %+v, B %+v %+v", stA.Setup, stA.Stats(), stB.Setup, stB.Stats())
 	}
 }

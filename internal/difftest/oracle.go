@@ -241,21 +241,18 @@ func substitute(fs *vfs.FS, s *corpus.Subject, cache *buildcache.Cache, outDir s
 	if outDir == "" {
 		outDir = s.OutDir()
 	}
-	opts := core.Options{
+	return core.Substitute(core.Options{
 		FS:          fs,
 		SearchPaths: s.SearchPaths,
 		Sources:     s.Sources,
 		Header:      s.Header,
 		OutDir:      outDir,
+		TokenCache:  cache,
 		// The harness judges safety through its own oracle; the engine's
 		// gate must not pre-empt the downstream oracles (and fault
 		// injection plants bugs the gate would never see anyway).
 		SkipCheck: true,
-	}
-	if cache != nil {
-		opts.TokenCache = cache
-	}
-	return core.Substitute(opts)
+	})
 }
 
 // generatedPaths lists the substitution's output files in stable order.

@@ -81,17 +81,6 @@ func (r *SubjectResult) CycleSpeedup(m devcycle.Mode) float64 {
 // Modes lists the configurations in presentation order.
 var Modes = []devcycle.Mode{devcycle.Default, devcycle.PCH, devcycle.Yalla}
 
-// RunSubject measures one subject under all three configurations.
-func RunSubject(s *corpus.Subject) (*SubjectResult, error) {
-	return RunSubjectWith(s, nil)
-}
-
-// RunSubjectWith is RunSubject with a build cache shared across
-// subjects. Virtual times are identical with or without it.
-func RunSubjectWith(s *corpus.Subject, bc *buildcache.Cache) (*SubjectResult, error) {
-	return runSubject(s, bc, nil)
-}
-
 // runSubject measures one subject under all modes, recording a "subject"
 // span with one child span per mode plus a virtual-cost lane per
 // subject × mode on the handle's tracer (nil o disables recording).
@@ -189,59 +178,6 @@ func emitVirtualLanes(o *obs.Obs, r *SubjectResult) {
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// inflight is one subject's memoized (or in-progress) measurement.
-// Completion is signaled by closing done; res/err are immutable after.
-type inflight struct {
-	done chan struct{}
-	res  *SubjectResult
-	err  error
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]*inflight{}
-)
-
-// RunSubjectCached memoizes RunSubject per subject name (the simulation
-// is deterministic). Concurrent callers for the same subject share one
-// in-flight run (singleflight) instead of duplicating the work.
-func RunSubjectCached(s *corpus.Subject) (*SubjectResult, error) {
-	return runSubjectShared(s, nil, nil)
-}
-
-func runSubjectShared(s *corpus.Subject, bc *buildcache.Cache, o *obs.Obs) (*SubjectResult, error) {
-	cacheMu.Lock()
-	if e, ok := cache[s.Name]; ok {
-		cacheMu.Unlock()
-		o.Counter("experiments.singleflight.dedup").Add(1)
-		<-e.done
-		return e.res, e.err
-	}
-	e := &inflight{done: make(chan struct{})}
-	cache[s.Name] = e
-	cacheMu.Unlock()
-
-	e.res, e.err = runSubject(s, bc, o)
-	if e.err != nil {
-		// Do not pin failures: a later caller retries. Waiters already
-		// holding e still observe this error.
-		cacheMu.Lock()
-		delete(cache, s.Name)
-		cacheMu.Unlock()
-	}
-	close(e.done)
-	return e.res, e.err
-}
-
-// ResetCache drops all memoized subject results. Intended for benchmarks
-// and tests that need a cold harness; not safe to call concurrently with
-// in-flight runs.
-func ResetCache() {
-	cacheMu.Lock()
-	cache = map[string]*inflight{}
-	cacheMu.Unlock()
-}
-
 // RunConfig configures RunAllWith.
 type RunConfig struct {
 	// Jobs is the worker-pool width; <= 0 means runtime.GOMAXPROCS(0).
@@ -260,19 +196,13 @@ type RunConfig struct {
 	Obs *obs.Obs
 }
 
-// RunAll measures every subject sequentially with no build cache — the
-// cold path, kept for compatibility and as the baseline the benchmarks
-// compare against.
-func RunAll() ([]*SubjectResult, error) {
-	return RunAllWith(RunConfig{Jobs: 1})
-}
-
 // RunAllWith measures the configured subjects on a bounded worker pool.
 // Results come back in presentation (corpus) order regardless of
-// completion order, and duplicate subjects are deduplicated via the
-// singleflight result cache. The first error stops the fan-out and is
-// returned — together with the partial results: every subject that
-// completed before the stop keeps its slot, unfinished subjects are nil.
+// completion order; every call simulates every listed subject afresh
+// (only the build cache, when set, carries work across calls). The
+// first error stops the fan-out and is returned — together with the
+// partial results: every subject that completed before the stop keeps
+// its slot, unfinished subjects are nil.
 // Callers that only care about the all-or-nothing contract can keep
 // ignoring the slice when err != nil.
 func RunAllWith(cfg RunConfig) ([]*SubjectResult, error) {
@@ -309,7 +239,7 @@ func RunAllWith(cfg RunConfig) ([]*SubjectResult, error) {
 				if cfg.Progress != nil {
 					cfg.Progress(s)
 				}
-				r, err := runSubjectShared(s, cfg.Cache, wo)
+				r, err := runSubject(s, cfg.Cache, wo)
 				if err != nil {
 					errOnce.Do(func() {
 						firstErr = err
@@ -495,7 +425,7 @@ func Extensions(names ...string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		pre, err := devcycle.PrepareWithOptions(s, devcycle.Yalla, []string{"Kokkos::fence"})
+		pre, err := devcycle.PrepareWith(s, devcycle.Yalla, devcycle.Config{PreDeclare: []string{"Kokkos::fence"}})
 		if err != nil {
 			return "", err
 		}
@@ -511,18 +441,13 @@ func Extensions(names ...string) (string, error) {
 	return b.String(), nil
 }
 
-// GCCSummary reproduces the paper's summarized GCC results (§5.3: "We
-// obtain similar results with GCC 9.4.0 ... YALLA speeds up compilation
-// time by ... 31.4× for GCC while PCH speeds up compilation time by ...
-// 2.7× for GCC"): the same pipeline under the GCC cost model, reported as
-// averages.
-func GCCSummary() (string, error) {
-	return GCCSummaryWith(nil)
-}
-
-// GCCSummaryWith is GCCSummary with a shared build cache. Because the
-// cached frontend is cost-model independent, the GCC rerun reuses every
-// TU the clang-model run already processed.
+// GCCSummaryWith reproduces the paper's summarized GCC results (§5.3:
+// "We obtain similar results with GCC 9.4.0 ... YALLA speeds up
+// compilation time by ... 31.4× for GCC while PCH speeds up compilation
+// time by ... 2.7× for GCC"): the same pipeline under the GCC cost model,
+// reported as averages. bc may be nil; because the cached frontend is
+// cost-model independent, the GCC rerun reuses every TU the clang-model
+// run already processed.
 func GCCSummaryWith(bc *buildcache.Cache) (string, error) {
 	var b strings.Builder
 	b.WriteString("GCC summary — average compile-time speedups under the g++ cost model\n")
@@ -557,37 +482,26 @@ func compileTriple(s *corpus.Subject, model compilesim.CostModel, bc *buildcache
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	hdr := ""
-	for _, sp := range s.SearchPaths {
-		cand := sp + "/" + s.Header
-		if sp == "." {
-			cand = s.Header
-		}
-		if fs.Exists(cand) {
-			hdr = cand
-			break
-		}
+	hdr, err := fs.Resolve(s.Header, s.SearchPaths)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	p, err := pch.BuildWithCache(fs, hdr, s.SearchPaths, nil, bc)
+	unit, err := cc.Frontend(hdr)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	cp := compilesim.New(fs, s.SearchPaths...)
 	cp.Model = model
 	cp.Cache = bc
-	cp.PCH = p
-	subOpts := core.Options{
-		FS: fs, SearchPaths: s.SearchPaths, Sources: s.Sources,
-		Header: s.Header, OutDir: s.OutDir(),
-	}
-	if bc != nil {
-		subOpts.TokenCache = bc
-	}
+	cp.PCH = pch.New(hdr, unit, nil)
 	pchObj, err := cp.Compile(s.MainFile)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	res, err := core.Substitute(subOpts)
+	res, err := core.Substitute(core.Options{
+		FS: fs, SearchPaths: s.SearchPaths, Sources: s.Sources,
+		Header: s.Header, OutDir: s.OutDir(), TokenCache: bc,
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -742,9 +656,8 @@ type BenchReport struct {
 // BenchHarness measures the harness itself: one truly cold sequential
 // run of the full matrix (one worker, no build cache — the pre-existing
 // behavior of this harness), an untimed run that primes a fresh build
-// cache, and then one timed warm parallel run against it. The
-// subject-result memo is reset between runs, so every subject is
-// genuinely re-simulated each time. Virtual outputs of all runs are
+// cache, and then one timed warm parallel run against it. Every run
+// re-simulates every subject. Virtual outputs of all runs are
 // identical; only wall clock differs.
 func BenchHarness(jobs int) (*BenchReport, error) {
 	if jobs <= 0 {
@@ -753,7 +666,6 @@ func BenchHarness(jobs int) (*BenchReport, error) {
 	bc := buildcache.New()
 	subjects := corpus.All()
 
-	ResetCache()
 	t0 := time.Now()
 	cold, err := RunAllWith(RunConfig{Jobs: 1})
 	if err != nil {
@@ -761,26 +673,22 @@ func BenchHarness(jobs int) (*BenchReport, error) {
 	}
 	coldNs := time.Since(t0).Nanoseconds()
 
-	ResetCache()
 	tp := time.Now()
 	if _, err := RunAllWith(RunConfig{Jobs: jobs}); err != nil {
 		return nil, fmt.Errorf("parallel cold run: %v", err)
 	}
 	parallelColdNs := time.Since(tp).Nanoseconds()
 
-	ResetCache()
 	if _, err := RunAllWith(RunConfig{Jobs: jobs, Cache: bc}); err != nil {
 		return nil, fmt.Errorf("priming run: %v", err)
 	}
 
-	ResetCache()
 	t1 := time.Now()
 	warm, err := RunAllWith(RunConfig{Jobs: jobs, Cache: bc})
 	if err != nil {
 		return nil, fmt.Errorf("warm run: %v", err)
 	}
 	warmNs := time.Since(t1).Nanoseconds()
-	ResetCache()
 
 	st := bc.Stats()
 	rep := &BenchReport{

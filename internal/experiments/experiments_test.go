@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/buildcache"
@@ -10,19 +11,19 @@ import (
 	"repro/internal/vfs"
 )
 
-// condenseResult runs (and caches) the cheapest subject across the three
-// modes for the rendering tests.
+// runCondense measures the cheapest subject across the three modes once
+// per test binary, for the rendering tests.
+var runCondense = sync.OnceValues(func() ([]*SubjectResult, error) {
+	return RunAllWith(RunConfig{Jobs: 1, Subjects: []*corpus.Subject{corpus.ByName("condense")}})
+})
+
 func condenseResult(t *testing.T) *SubjectResult {
 	t.Helper()
-	s := corpus.ByName("condense")
-	if s == nil {
-		t.Fatal("condense missing")
-	}
-	r, err := RunSubjectCached(s)
+	res, err := runCondense()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return res[0]
 }
 
 func TestRunSubjectAllModes(t *testing.T) {
@@ -47,14 +48,6 @@ func TestRunSubjectAllModes(t *testing.T) {
 	}
 	if r.CycleSpeedup(devcycle.Yalla) <= 1 {
 		t.Fatalf("cycle speedup = %.2f", r.CycleSpeedup(devcycle.Yalla))
-	}
-}
-
-func TestRunSubjectCachedIsStable(t *testing.T) {
-	a := condenseResult(t)
-	b := condenseResult(t)
-	if a != b {
-		t.Fatal("cache miss on second run")
 	}
 }
 
@@ -155,8 +148,7 @@ func keys(m map[string]string) []string {
 // a single byte of the paper's outputs. It renders Table 2, Table 3, and
 // Figure 7 from (a) a sequential uncached run, (b) a sequential run into
 // a fresh build cache, and (c) an 8-way parallel run served from that
-// warm cache, resetting the subject-result memo in between so every
-// variant genuinely re-simulates.
+// warm cache; every variant re-simulates every subject.
 func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 	subjects := []*corpus.Subject{
 		corpus.ByName("condense"),
@@ -173,15 +165,12 @@ func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 	}
 	run := func(jobs int, bc *buildcache.Cache) string {
 		t.Helper()
-		ResetCache()
 		res, err := RunAllWith(RunConfig{Jobs: jobs, Subjects: subjects, Cache: bc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return render(res)
 	}
-	defer ResetCache()
-
 	bc := buildcache.New()
 	uncached := run(1, nil)
 	coldCache := run(1, bc)
@@ -200,8 +189,6 @@ func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 // TestRunAllWithStopsOnFirstError checks error propagation from the
 // worker pool: a subject that cannot run fails the whole fan-out.
 func TestRunAllWithStopsOnFirstError(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
 	bad := &corpus.Subject{Name: "broken-subject", Library: "none", FS: vfs.New(), MainFile: "absent.cpp"}
 	_, err := RunAllWith(RunConfig{Jobs: 4, Subjects: []*corpus.Subject{bad}})
 	if err == nil {

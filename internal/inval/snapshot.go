@@ -77,6 +77,38 @@ type declExtent struct {
 // span is a half-open byte range (function bodies).
 type span struct{ start, end int32 }
 
+// parseIsolated lexes one file raw (comments and whitespace dropped,
+// directives and inactive regions kept) and parses it alone in a scratch
+// filesystem: includes are unresolvable on the empty search path, the
+// preprocessor records them as missing and moves on, and the parser sees
+// only this file's own declarations. ok is false when the file does not
+// lex or parse cleanly on its own.
+func parseIsolated(path, content string) (raw []token.Token, tu *ast.TranslationUnit, ok bool) {
+	lx := lexer.New(path, content)
+	for {
+		t := lx.Next()
+		if t.Kind == token.EOF {
+			break
+		}
+		raw = append(raw, t)
+	}
+	if len(lx.Errors()) > 0 {
+		return nil, nil, false
+	}
+	sfs := vfs.New()
+	sfs.Write(path, content)
+	res, err := preprocessor.New(sfs).Preprocess(path)
+	if err != nil {
+		return nil, nil, false
+	}
+	pr := parser.New(res.Tokens)
+	tu, err = pr.Parse()
+	if err != nil || len(pr.Errors()) > 0 {
+		return nil, nil, false
+	}
+	return raw, tu, true
+}
+
 // Snapshot digests one file's content. It never touches the filesystem:
 // the caller supplies the exact bytes (old content before an edit, new
 // content after), so diffing old vs new is a pure function of the two
@@ -89,33 +121,9 @@ func Snapshot(path, content string) *FileSnapshot {
 	// exactly the "comments excluded" part of the interface hash. The
 	// raw stream still contains directive tokens and inactive regions,
 	// so nothing an edit can change escapes classification.
-	lx := lexer.New(path, content)
-	var raw []token.Token
-	for {
-		t := lx.Next()
-		if t.Kind == token.EOF {
-			break
-		}
-		raw = append(raw, t)
-	}
-	if len(lx.Errors()) > 0 {
+	raw, tu, ok := parseIsolated(path, content)
+	if !ok {
 		return snap // OK=false: conservative
-	}
-
-	// Structure from an isolated single-file parse: includes are
-	// unresolvable on the empty search path, the preprocessor records
-	// them as missing and moves on, and the parser sees only this
-	// file's own declarations — which is all the diff needs.
-	sfs := vfs.New()
-	sfs.Write(path, content)
-	res, err := preprocessor.New(sfs).Preprocess(path)
-	if err != nil {
-		return snap
-	}
-	pr := parser.New(res.Tokens)
-	tu, err := pr.Parse()
-	if err != nil || len(pr.Errors()) > 0 {
-		return snap
 	}
 
 	decls, bodies, nsSpans := collectExtents(tu)

@@ -1,23 +1,20 @@
 // Package pch implements the pre-compiled-header baseline the paper
-// compares against (§2.2, §5.3). A PCH is built by preprocessing and
-// parsing the expensive header once and serializing the resulting token
-// stream; a compilation that uses the PCH skips re-lexing/re-parsing the
-// header's files and instead pays a deserialization cost proportional to
-// the PCH size — which is why PCH helps the frontend but "the AST must
-// still be loaded from the PCH file on disk which is expensive" and the
-// backend time is unchanged (Fig. 7a).
+// compares against (§2.2, §5.3). A PCH is what the compiler's own
+// frontend produced for the expensive header, written to disk: New takes
+// the header's translation unit from compilesim.Compiler.Frontend and
+// serializes its token stream. A compilation that uses the PCH skips
+// re-lexing/re-parsing the header's files and instead pays a
+// deserialization cost proportional to the PCH size — which is why PCH
+// helps the frontend but "the AST must still be loaded from the PCH file
+// on disk which is expensive" and the backend time is unchanged
+// (Fig. 7a).
 package pch
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/buildcache"
-	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -28,101 +25,32 @@ type PCH struct {
 	Header string
 	// Files covered by the PCH (the header and everything it includes).
 	Files map[string]bool
-	// Tokens is the header's full token stream.
-	Tokens []token.Token
-	// TU is the parsed header AST.
-	TU *ast.TranslationUnit
 	// Blob is the serialized form; its length models the on-disk size
 	// (the paper notes PCH files reach hundreds of megabytes).
 	Blob []byte
-	// LOC is the header's source-line contribution.
-	LOC int
 }
 
-// Build constructs a PCH for the given header file.
-func Build(fs *vfs.FS, header string, searchPaths []string, defines map[string]string) (*PCH, error) {
-	return BuildWithCache(fs, header, searchPaths, defines, nil)
-}
-
-// BuildWithCache is Build with a build cache: the expensive preprocess +
-// parse of the header's translation unit is served from (and feeds) the
-// content-addressed TU cache shared with the compilation simulator, so
-// building a PCH and probe-compiling the same header costs one frontend
-// run per process instead of one per use. The produced PCH is
-// byte-identical with or without the cache.
-func BuildWithCache(fs *vfs.FS, header string, searchPaths []string, defines map[string]string, cache *buildcache.Cache) (*PCH, error) {
-	return BuildObserved(fs, header, searchPaths, defines, cache, nil)
-}
-
-// BuildObserved is BuildWithCache with an observability handle: it wraps
-// the build in a "pch.build" span (with preprocess/parse child spans on
-// cache misses) and records blob-size metrics. A nil handle disables all
-// recording at zero cost.
-func BuildObserved(fs *vfs.FS, header string, searchPaths []string, defines map[string]string, cache *buildcache.Cache, o *obs.Obs) (*PCH, error) {
+// New builds the PCH for header from the header's frontend unit, inside
+// a "pch.build" span, and records the build and blob-size metrics. A nil
+// handle disables recording at zero cost.
+func New(header string, unit *buildcache.TU, o *obs.Obs) *PCH {
 	sp := o.Start("pch.build")
 	sp.SetStr("header", header)
 	defer sp.End()
-	build := func() (*buildcache.TU, []buildcache.Dep, error) {
-		pp := preprocessor.New(fs, searchPaths...)
-		pp.Obs = sp.Obs()
-		if cache != nil {
-			pp.Cache = cache
-		}
-		for k, v := range defines {
-			pp.Define(k, v)
-		}
-		res, err := pp.Preprocess(header)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pch: %v", err)
-		}
-		pr := parser.New(res.Tokens)
-		pr.Obs = sp.Obs()
-		tu, err := pr.Parse()
-		if err != nil {
-			return nil, nil, fmt.Errorf("pch: parse: %v", err)
-		}
-		return &buildcache.TU{Result: res, AST: tu}, buildcache.Manifest(fs, header, res), nil
-	}
-
-	var unit *buildcache.TU
-	var err error
-	if cache == nil {
-		unit, _, err = build()
-	} else {
-		unit, _, err = cache.TranslationUnit(configKey(header, searchPaths, defines), buildcache.Validator(fs), build)
-	}
-	if err != nil {
-		return nil, err
-	}
 	res := unit.Result
 	p := &PCH{
 		Header: vfs.Clean(header),
 		Files:  map[string]bool{vfs.Clean(header): true},
-		Tokens: res.Tokens,
-		TU:     unit.Unit(),
-		LOC:    res.LOC,
+		Blob:   Serialize(res.Tokens),
 	}
 	for _, inc := range res.Includes {
 		p.Files[inc] = true
 	}
-	p.Blob = Serialize(res.Tokens)
 	o.Counter("pch.builds").Add(1)
 	o.Observe("pch.blob_bytes", float64(len(p.Blob)))
 	sp.SetInt("blob_bytes", int64(len(p.Blob)))
 	sp.SetInt("files", int64(len(p.Files)))
-	return p, nil
-}
-
-// configKey mirrors compilesim's frontend configuration key so a PCH
-// build and a plain compile of the same header share one TU cache entry.
-func configKey(main string, searchPaths []string, defines map[string]string) string {
-	parts := []string{"compilesim", vfs.Clean(main), strings.Join(searchPaths, "\x1f")}
-	defs := make([]string, 0, len(defines))
-	for k, v := range defines {
-		defs = append(defs, k+"="+v)
-	}
-	sort.Strings(defs)
-	return buildcache.ConfigKey(append(parts, defs...)...)
+	return p
 }
 
 // Serialize encodes a token stream into the PCH on-disk format: a small

@@ -1,10 +1,13 @@
-package pch
+package pch_test
 
 import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/compilesim"
 	"repro/internal/cpp/token"
+	"repro/internal/obs"
+	"repro/internal/pch"
 	"repro/internal/vfs"
 )
 
@@ -18,19 +21,31 @@ namespace lib { template <class T> class Thing { T v; }; }
 	return fs
 }
 
-func TestBuildCoversTransitiveIncludes(t *testing.T) {
-	p, err := Build(buildFS(), "lib/core.hpp", []string{"lib"}, nil)
+// build runs the compiler's frontend over header and builds its PCH.
+func build(t *testing.T, fs *vfs.FS, header string, o *obs.Obs) *pch.PCH {
+	t.Helper()
+	unit, err := compilesim.New(fs, "lib").Frontend(header)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pch.New(header, unit, o)
+}
+
+func TestBuildCoversTransitiveIncludes(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := build(t, buildFS(), "lib/core.hpp", obs.New(nil, reg))
 	if !p.Covers("lib/core.hpp") || !p.Covers("lib/detail.hpp") {
 		t.Fatalf("coverage = %v", p.Files)
 	}
 	if p.Covers("main.cpp") {
 		t.Fatal("should not cover main")
 	}
-	if p.SizeBytes() == 0 || p.LOC == 0 || p.TU == nil {
+	if p.SizeBytes() == 0 {
 		t.Fatalf("pch = %+v", p)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["pch.builds"] != 1 || snap.Histograms["pch.blob_bytes"].Count != 1 {
+		t.Fatalf("pch metrics not recorded: %+v", snap)
 	}
 }
 
@@ -41,7 +56,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		{Kind: token.Semi, Text: ";", Pos: token.Pos{Offset: 7}},
 		{Kind: token.EOF},
 	}
-	got, err := Deserialize(Serialize(toks))
+	got, err := pch.Deserialize(pch.Serialize(toks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,24 +72,21 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func TestDeserializeBadMagic(t *testing.T) {
-	if _, err := Deserialize([]byte("NOPE")); err == nil {
+	if _, err := pch.Deserialize([]byte("NOPE")); err == nil {
 		t.Fatal("want magic error")
 	}
-	if _, err := Deserialize(nil); err == nil {
+	if _, err := pch.Deserialize(nil); err == nil {
 		t.Fatal("want error on empty blob")
 	}
 }
 
 func TestDeserializeTruncated(t *testing.T) {
-	p, err := Build(buildFS(), "lib/core.hpp", []string{"lib"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := build(t, buildFS(), "lib/core.hpp", nil)
 	for _, cut := range []int{5, 8, len(p.Blob) / 2} {
 		if cut >= len(p.Blob) {
 			continue
 		}
-		if _, err := Deserialize(p.Blob[:cut]); err == nil {
+		if _, err := pch.Deserialize(p.Blob[:cut]); err == nil {
 			t.Fatalf("want error for blob truncated at %d", cut)
 		}
 	}
@@ -86,7 +98,7 @@ func TestPropertySerializeRoundTrips(t *testing.T) {
 		for i, s := range texts {
 			toks = append(toks, token.Token{Kind: token.Identifier, Text: s, Pos: token.Pos{Offset: int32(i)}})
 		}
-		got, err := Deserialize(Serialize(toks))
+		got, err := pch.Deserialize(pch.Serialize(toks))
 		if err != nil || len(got) != len(toks) {
 			return false
 		}
@@ -102,8 +114,10 @@ func TestPropertySerializeRoundTrips(t *testing.T) {
 	}
 }
 
+// TestBuildMissingHeader: a header the frontend cannot read yields no
+// unit, so no PCH can be built from it.
 func TestBuildMissingHeader(t *testing.T) {
-	if _, err := Build(vfs.New(), "nope.hpp", nil, nil); err == nil {
+	if _, err := compilesim.New(vfs.New()).Frontend("nope.hpp"); err == nil {
 		t.Fatal("want error")
 	}
 }

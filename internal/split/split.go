@@ -137,7 +137,7 @@ func Decompose(opts Options) (*Result, error) {
 	defer sp.End()
 	sp.SetStr("header", opts.Header)
 
-	hdrPath, err := resolveHeader(opts.FS, opts.SearchPaths, opts.Header)
+	hdrPath, err := opts.FS.Resolve(opts.Header, opts.SearchPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -164,25 +164,6 @@ func Decompose(opts Options) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// resolveHeader finds the header file for a spelled target, probing
-// each search path the way the devcycle harness does.
-func resolveHeader(fs *vfs.FS, searchPaths []string, header string) (string, error) {
-	for _, sp := range searchPaths {
-		cand := header
-		if sp != "." && sp != "" {
-			cand = sp + "/" + header
-		}
-		cand = vfs.Clean(cand)
-		if fs.Exists(cand) {
-			return cand, nil
-		}
-	}
-	if c := vfs.Clean(header); fs.Exists(c) {
-		return c, nil
-	}
-	return "", fmt.Errorf("split: header %q not found on search paths %v", header, searchPaths)
 }
 
 // canonicalPartition renders the partition in canonical form (parts

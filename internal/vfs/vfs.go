@@ -124,6 +124,26 @@ func (fs *FS) Exists(p string) bool {
 	return ok
 }
 
+// Resolve finds the file a header name spelled relative to the search
+// paths names: the first search path (in order; "." and "" mean the
+// tree root) under which it exists, else the name itself taken from the
+// root. The result is cleaned.
+func (fs *FS) Resolve(name string, searchPaths []string) (string, error) {
+	for _, sp := range searchPaths {
+		cand := name
+		if sp != "." && sp != "" {
+			cand = sp + "/" + name
+		}
+		if cand = Clean(cand); fs.Exists(cand) {
+			return cand, nil
+		}
+	}
+	if c := Clean(name); fs.Exists(c) {
+		return c, nil
+	}
+	return "", fmt.Errorf("vfs: header %q not found on search paths %v", name, searchPaths)
+}
+
 // Remove deletes p; it is a no-op if p does not exist.
 func (fs *FS) Remove(p string) {
 	p = Clean(p)
